@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-import numpy as np
-
 from .core import (
     BinaryForm,
     Matrix3,
@@ -24,6 +22,7 @@ from .core import (
     TernaryForm,
     gram3,
     normalize_direction,
+    square_points,
     verify_norm_preserving,
 )
 
@@ -372,67 +371,68 @@ def _integer_cone_matrix(A: Matrix3) -> list[list[int]]:
 def integer_line_search3(A: Matrix3, bound: int) -> list[PrimitiveDirection]:
     """All primitive integer solution lines with coordinates in [-bound, bound].
 
-    Exhaustive search over the cube, vectorized in integer arithmetic;
-    output is deduplicated to canonical directions and sorted
-    lexicographically.  Raises ValueError for orthogonal A, where every
-    direction qualifies.
+    Exhaustive over the cube in exact integer arithmetic, with work
+    quadratic in the bound: the cone equation is solved for the first axis
+    x_k with a nonzero squared coefficient, as in :func:`pivot_reduce`.
+    Over the pairs (y, z) of the other two coordinates with y >= 0 (a line
+    and its negation are the same line), the quadratic in x_k has an
+    integer root only where its discriminant D(y, z) is a perfect square,
+    which :func:`square_points` finds, and the root divides exactly.  When
+    every squared coefficient vanishes the equation is linear in x and is
+    solved directly.  Output is deduplicated to canonical directions and
+    sorted lexicographically.  Raises ValueError for orthogonal A, where
+    every direction qualifies.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
     T = _integer_cone_matrix(A)
     if all(x == 0 for row in T for x in row):
         raise ValueError("every direction is norm-preserving (orthogonal matrix)")
-    tmax = max(abs(x) for row in T for x in row)
-    if 9 * tmax * bound * bound < 2**62:
-        found = _search_numpy(T, bound)
-    else:  # pragma: no cover - exotic inputs only
-        found = _search_python(T, bound)
-    lines = {normalize_direction(t) for t in found}
-    return sorted(lines)
+    k = next((i for i in range(3) if T[i][i] != 0), None)
+    if k is None:
+        points = _zero_diagonal_points(T, bound)
+    else:
+        points = _pivot_points(T, k, bound)
+    return sorted({normalize_direction(v) for v in points})
 
 
-def _search_numpy(T, bound: int) -> list[tuple[int, int, int]]:
-    # A representative with x >= 0 exists for every line, so the x < 0
-    # half of the cube is skipped; duplicates collapse in the caller's set.
-    side = np.arange(-bound, bound + 1, dtype=np.int64)
-    Y = side[None, :, None]
-    Z = side[None, None, :]
-    yz_part = (
-        T[1][1] * Y * Y
-        + T[2][2] * Z * Z
-        + 2 * T[1][2] * Y * Z
+def _pivot_points(T, k: int, bound: int) -> list[list[int]]:
+    # T_kk x^2 + 2 h x + (T_jj y^2 + 2 T_jo y z + T_oo z^2) = 0 with
+    # h = T_kj y + T_ko z, so x = (-h +/- sqrt(D)) / T_kk.
+    j, o = [i for i in range(3) if i != k]
+    tkk, tkj, tko = T[k][k], T[k][j], T[k][o]
+    disc = (
+        tkj * tkj - tkk * T[j][j],
+        2 * (tkj * tko - tkk * T[j][o]),
+        tko * tko - tkk * T[o][o],
     )
-    lin_part = 2 * (T[0][1] * Y + T[0][2] * Z)
-    out: list[tuple[int, int, int]] = []
-    chunk = max(1, 2_000_000 // ((2 * bound + 1) ** 2))
-    for start in range(0, bound + 1, chunk):
-        xs = np.arange(start, min(start + chunk, bound + 1), dtype=np.int64)
-        X = xs[:, None, None]
-        Q = T[0][0] * X * X + lin_part * X + yz_part
-        for xi, yi, zi in np.argwhere(Q == 0):
-            t = (int(xs[xi]), int(side[yi]), int(side[zi]))
-            if t != (0, 0, 0):
-                out.append(t)
-    return out
+    points = []
+    for y, z, r in square_points(*disc, 1, bound):
+        h = tkj * y + tko * z
+        for num in {r - h, -r - h}:
+            x, rem = divmod(num, tkk)
+            if rem == 0 and -bound <= x <= bound:
+                v = [0, 0, 0]
+                v[k], v[j], v[o] = x, y, z
+                points.append(v)
+    return points
 
 
-def _search_python(T, bound: int) -> list[tuple[int, int, int]]:
-    out = []
-    rng = range(-bound, bound + 1)
-    for x in range(0, bound + 1):
-        for y in rng:
-            for z in rng:
-                if (x, y, z) == (0, 0, 0):
-                    continue
-                q = (
-                    T[0][0] * x * x
-                    + T[1][1] * y * y
-                    + T[2][2] * z * z
-                    + 2 * (T[0][1] * x * y + T[0][2] * x * z + T[1][2] * y * z)
-                )
-                if q == 0:
-                    out.append((x, y, z))
-    return out
+def _zero_diagonal_points(T, bound: int) -> list[tuple[int, int, int]]:
+    # 2 x (T_01 y + T_02 z) + 2 T_12 y z = 0 is linear in x.
+    points = []
+    for y in range(bound + 1):
+        for z in range(-bound, bound + 1):
+            slope = T[0][1] * y + T[0][2] * z
+            rest = -T[1][2] * y * z
+            if slope != 0:
+                x, rem = divmod(rest, slope)
+                if rem == 0 and -bound <= x <= bound:
+                    points.append((x, y, z))
+            elif rest == 0:  # every x solves it
+                xs = range(-bound, bound + 1)
+                points.extend((x, y, z) for x in xs if x or y or z)
+    return points
 
 
 #: A matrix whose solution cone carries infinitely many integer lines,

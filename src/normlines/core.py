@@ -21,6 +21,7 @@ __all__ = [
     "rat",
     "PrimitiveDirection",
     "normalize_direction",
+    "square_points",
     "Matrix2",
     "Matrix3",
     "GramForm2",
@@ -87,19 +88,53 @@ def normalize_direction(v: Sequence[RationalLike]) -> PrimitiveDirection:
     """Reduce a nonzero rational vector to its primitive integer direction.
 
     Denominators are cleared, the gcd is divided out, and the sign is fixed
-    so the first nonzero coordinate is positive.
+    so the first nonzero coordinate is positive.  An all-int vector skips
+    the denominators and builds no Fraction.
     """
-    fracs = [rat(x) for x in v]
-    if all(f == 0 for f in fracs):
-        raise ValueError("cannot normalize the zero vector")
-    scale = math.lcm(*(f.denominator for f in fracs))
-    ints = [int(f * scale) for f in fracs]
+    if all(isinstance(x, int) for x in v):
+        ints = v
+    else:
+        fracs = [rat(x) for x in v]
+        scale = math.lcm(*(f.denominator for f in fracs))
+        ints = [int(f * scale) for f in fracs]
     g = math.gcd(*ints)
-    ints = [c // g for c in ints]
-    lead = next(c for c in ints if c != 0)
-    if lead < 0:
-        ints = [-c for c in ints]
-    return PrimitiveDirection(tuple(ints))
+    if g == 0:
+        raise ValueError("cannot normalize the zero vector")
+    if next(c for c in ints if c != 0) < 0:
+        g = -g
+    return PrimitiveDirection(tuple(c // g for c in ints))
+
+
+def square_points(
+    a: int, b: int, c: int, d: int, bound: int
+) -> list[tuple[int, int, int]]:
+    """All (y, z, u) with 0 <= y <= bound, |z| <= bound, (y, z) != (0, 0),
+    u >= 0 and a*y^2 + b*y*z + c*z^2 = d*u^2, in lexicographic order.
+
+    Only the half-plane y >= 0 is scanned, since the form takes the same
+    value at (-y, -z); each cell gets an exact integer square root test.
+    """
+    if d == 0:
+        raise ValueError("d must be nonzero")
+    if bound < 0:
+        raise ValueError(f"bound must be nonnegative, got {bound}")
+    if d < 0:
+        a, b, c, d = -a, -b, -c, -d
+    isqrt = math.isqrt
+    out = []
+    for y in range(bound + 1):
+        # the form at (y, -bound), stepped along the row by first differences
+        v = a * y * y - b * y * bound + c * bound * bound
+        step = b * y + c * (1 - 2 * bound)
+        for z in range(-bound, bound + 1):
+            if v >= 0 and v % d == 0:
+                q = v // d
+                u = isqrt(q)
+                if u * u == q and (y or z):
+                    out.append((y, z, u))
+            v += step
+            step += 2 * c
+    return out
 
 
 def _coerce_row(row: Sequence[RationalLike], width: int) -> tuple[Fraction, ...]:

@@ -14,7 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import Matrix3, PrimitiveDirection, normalize_direction, verify_norm_preserving
+from .core import (
+    Matrix3,
+    PrimitiveDirection,
+    normalize_direction,
+    square_points,
+    verify_norm_preserving,
+)
 from .cone import PivotReduction
 
 __all__ = [
@@ -85,23 +91,14 @@ def square_rep_bruteforce(
     """All solutions (y, z, u) with |y|, |z| <= bound and u >= 0.
 
     The all-zero triple is excluded; non-primitive solutions are kept.
-    Output order is lexicographic in (y, z).
+    Output order is lexicographic in (y, z).  Raises ValueError for a
+    negative bound.
     """
-    out: list[tuple[int, int, int]] = []
-    f, d = inst.form, inst.d
-    for y in range(-bound, bound + 1):
-        ayy = f.a * y * y
-        by = f.b * y
-        for z in range(-bound, bound + 1):
-            if y == 0 and z == 0:
-                continue
-            val = ayy + by * z + f.c * z * z
-            if val % d != 0:
-                continue
-            u = integer_sqrt(val // d)
-            if u is not None:
-                out.append((y, z, u))
-    return out
+    f = inst.form
+    upper = square_points(f.a, f.b, f.c, inst.d, bound)
+    # form(-y, -z) = form(y, z): the rows y < 0 mirror the rows y > 0.
+    lower = [(-y, -z, u) for y, z, u in reversed(upper) if y > 0]
+    return lower + upper
 
 
 @dataclass(frozen=True)

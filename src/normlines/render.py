@@ -60,8 +60,10 @@ def ellipse_points(A: Matrix2, samples: int = 256) -> list[tuple[float, float]]:
     """Sample points p on the locus |A p| = 1 (the image-of-circle ellipse).
 
     Each returned point satisfies |  |A p|^2 - 1 | <= 1e-9 before any
-    output rounding.  Requires a nonsingular matrix.
+    output rounding.  Requires a nonsingular matrix and at least one sample.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     if A.det() == 0:
         raise ValueError("nonsingular matrix required: the locus degenerates")
     g = gram2(A)

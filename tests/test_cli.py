@@ -104,6 +104,7 @@ class TestErrors:
             ["render", "scene3", "1", "2", "3", "2", "1", "1", "1", "1", "1"],
             ["render", "scene2", "1", "2", "3", "4", "5", "--out", "/tmp/x.svg"],
             ["nosuch"],
+            ["dioph", "1", "0", "1", "--bound", "-5"],
         ],
     )
     def test_exit_code_two(self, argv):
@@ -158,3 +159,13 @@ class TestRenderCommand:
         assert payload["mesh_bytes"] == len(mesh.encode())
         assert "o cone" in mesh
         assert svg_file.read_text().startswith('<?xml version="1.0"')
+
+    def test_zero_samples_rejected_without_writing(self, tmp_path):
+        out_file = tmp_path / "f.svg"
+        rc, out, err = run_cli(
+            ["render", "scene2", "4", "3", "-2", "-3", "--samples", "0",
+             "--out", str(out_file)]
+        )
+        assert rc == 2 and out == ""
+        assert "samples" in err
+        assert not out_file.exists()

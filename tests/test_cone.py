@@ -5,6 +5,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from normlines.cone import (
     PARAMETRIC_MATRIX,
@@ -43,6 +45,48 @@ def slow_search(A: Matrix3, bound: int) -> set:
                 if form.evaluate((x, y, z)) == 0:
                     found.add(normalize_direction((x, y, z)))
     return found
+
+
+def rational_rotation(s1, s2, s3) -> Matrix3:
+    """The Euler-Rodrigues rotation ((1 - |s|^2) I + 2 s s^T - 2 [s]x) / (1 + |s|^2)."""
+    s = (s1, s2, s3)
+    cross = ((0, -s3, s2), (s3, 0, -s1), (-s2, s1, 0))
+    n2 = s1 * s1 + s2 * s2 + s3 * s3
+    return Matrix3.from_rows(
+        [
+            [((1 - n2) * (i == j) + 2 * s[i] * s[j] - 2 * cross[i][j]) / (1 + n2)
+             for j in range(3)]
+            for i in range(3)
+        ]
+    )
+
+
+SMALL_RATIONALS = st.sampled_from([F(-1), F(-1, 2), F(0), F(1, 2), F(1), F(2)])
+TILT = rational_rotation(F(1, 2), F(-1), F(2))
+ROTATIONS = st.builds(
+    rational_rotation, SMALL_RATIONALS, SMALL_RATIONALS, SMALL_RATIONALS
+)
+
+
+@st.composite
+def cone_matrices(draw):
+    """Random rational matrices, and matrices built to have a rank-1 (double
+    plane), rank-2 or all-zero-diagonal cone form."""
+    kind = draw(st.sampled_from(["random", "scaled_rotation", "unit_columns"]))
+    if kind == "random":
+        entry = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+        return Matrix3.from_rows([[draw(entry) for _ in range(3)] for _ in range(3)])
+    if kind == "scaled_rotation":
+        # diag(p, q, r) Q has cone form Q^T diag(p^2-1, q^2-1, r^2-1) Q, whose
+        # rank is the number of scales other than 1
+        scale = st.sampled_from([F(1), F(1), F(2), F(1, 2), F(3, 2), F(1, 3)])
+        scales = [draw(scale) for _ in range(3)]
+        rows = draw(ROTATIONS).rows()
+        return Matrix3.from_rows([[f * x for x in row] for f, row in zip(scales, rows)])
+    # columns of unit length: every squared coefficient of the cone vanishes
+    columns = [draw(ROTATIONS).transpose().rows()[draw(st.integers(0, 2))]
+               for _ in range(3)]
+    return Matrix3.from_rows(columns).transpose()
 
 
 class TestConeForm:
@@ -232,6 +276,21 @@ class TestIntegerSearch:
                 continue
             cases += 1
             assert set(integer_line_search3(A, 6)) == slow_search(A, 6), A
+
+    @settings(max_examples=40, deadline=None)
+    @given(cone_matrices(), st.integers(1, 8))
+    @example(Matrix3.from_rows([[2, 0, 0], [0, 1, 0], [0, 0, 1]]) @ TILT, 5)
+    @example(Matrix3.from_rows([[2, 0, 0], [0, 1, 0], [0, 0, F(1, 2)]]) @ TILT, 6)
+    @example(Matrix3.from_rows([[1, F(3, 5), 0], [0, F(4, 5), 0], [0, 0, 1]]), 7)
+    @example(
+        Matrix3.from_rows([[F(3, 5), F(4, 5), 0], [F(4, 5), F(3, 5), 1], [0, 0, 0]]), 8
+    )
+    def test_matches_cube_scan(self, A, bound):
+        if cone_form(A).is_zero():
+            with pytest.raises(ValueError):
+                integer_line_search3(A, bound)
+            return
+        assert set(integer_line_search3(A, bound)) == slow_search(A, bound)
 
     def test_search_is_sorted_primitive(self):
         found = integer_line_search3(PARAMETRIC_MATRIX, 20)

@@ -88,6 +88,16 @@ class TestNormalizeDirection:
         )
         assert cross_free
 
+    @given(
+        st.lists(st.integers(-100, 100), min_size=2, max_size=3).filter(any),
+        st.integers(-12, 12).filter(bool),
+        st.integers(1, 12),
+    )
+    def test_int_input_matches_fraction_input(self, coords, p, q):
+        d = normalize_direction(coords)
+        assert normalize_direction([F(c) for c in coords]) == d
+        assert normalize_direction([F(c * p, q) for c in coords]) == d
+
 
 class TestMatrix2:
     def test_construction_and_ops(self):

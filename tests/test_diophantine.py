@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normlines.cone import pivot_reduce
@@ -20,6 +20,40 @@ from normlines.diophantine import (
 )
 
 MIXED = Matrix3.from_rows([[1, 2, 3], [3, 4, 5], [2, 3, 4]])
+
+
+def double_loop_square_rep(inst, bound):
+    """Oracle: every cell of the box, in lexicographic order of (y, z)."""
+    out = []
+    f, d = inst.form, inst.d
+    for y in range(-bound, bound + 1):
+        ayy = f.a * y * y
+        by = f.b * y
+        for z in range(-bound, bound + 1):
+            if y == 0 and z == 0:
+                continue
+            val = ayy + by * z + f.c * z * z
+            if val % d != 0:
+                continue
+            u = integer_sqrt(val // d)
+            if u is not None:
+                out.append((y, z, u))
+    return out
+
+
+@st.composite
+def square_rep_instances(draw):
+    """Random forms, and forms k*(r*y + s*z)^2 + m*(t*y + w*z)^2 that take
+    many square values, with d of either sign."""
+    if draw(st.booleans()):
+        a, b, c = (draw(st.integers(-60, 60)) for _ in range(3))
+    else:
+        k, m, r, s, t, w = (draw(st.integers(-4, 4)) for _ in range(6))
+        a = k * r * r + m * t * t
+        b = 2 * (k * r * s + m * t * w)
+        c = k * s * s + m * w * w
+    d = draw(st.integers(-12, 12).filter(lambda d: d != 0))
+    return SquareRepInstance(IntBinaryForm(a, b, c), d)
 
 
 class TestIntegerSqrt:
@@ -72,6 +106,17 @@ class TestBruteForce:
         inst = SquareRepInstance(IntBinaryForm(5, -7, 2), d=3)
         for y, z, u in square_rep_bruteforce(inst, 15):
             assert inst.form.evaluate(y, z) == 3 * u * u
+
+    @settings(max_examples=300, deadline=None)
+    @given(square_rep_instances(), st.integers(0, 30))
+    def test_matches_double_loop(self, inst, bound):
+        assert square_rep_bruteforce(inst, bound) == double_loop_square_rep(inst, bound)
+
+    def test_bound_zero_is_empty_and_negative_rejected(self):
+        inst = SquareRepInstance(IntBinaryForm(1, 0, 1))
+        assert square_rep_bruteforce(inst, 0) == []
+        with pytest.raises(ValueError):
+            square_rep_bruteforce(inst, -5)
 
     def test_nonzero_d_divisibility(self):
         inst = SquareRepInstance(IntBinaryForm(1, 0, 1), d=2)

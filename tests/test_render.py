@@ -81,6 +81,11 @@ class TestEllipsePoints:
         with pytest.raises(ValueError):
             ellipse_points(Matrix2.from_rows([[1, 2], [2, 4]]))
 
+    def test_no_samples_rejected(self):
+        for samples in (0, -3):
+            with pytest.raises(ValueError):
+                ellipse_points(FIRST_2D, samples)
+
 
 class TestScene2:
     def test_byte_identical_reruns(self):
